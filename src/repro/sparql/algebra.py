@@ -449,6 +449,30 @@ def collect_path_patterns(node: PatternNode) -> List[PathPatternNode]:
     return result
 
 
+def mentioned_variables(node: PatternNode) -> set[str]:
+    """Every variable ``node`` mentions: the ones its patterns bind plus
+    the ones its FILTER / BIND / OPTIONAL conditions read (nested
+    ``EXISTS`` included).  A sub-SELECT mentions only its projection.
+
+    An ``EXISTS`` over ``node`` can only correlate on these: an outer
+    variable outside the set never meets the pattern.
+    """
+    if isinstance(node, (Join, LeftJoin, Union, Minus)):
+        result = mentioned_variables(node.left) \
+            | mentioned_variables(node.right)
+        if isinstance(node, LeftJoin) and node.condition is not None:
+            result |= node.condition.variables()
+        return result
+    if isinstance(node, Filter):
+        return mentioned_variables(node.child) | node.condition.variables()
+    if isinstance(node, Extend):
+        return mentioned_variables(node.child) | {node.var} \
+            | node.expression.variables()
+    if isinstance(node, GraphNode):
+        return node.variables() | mentioned_variables(node.child)
+    return node.variables()
+
+
 class SubSelectNode(PatternNode):
     """A nested SELECT used as a group graph pattern."""
 

@@ -43,8 +43,14 @@ into a per-query :class:`~repro.rdf.dictionary.DictionaryOverlay`
 discarded with the evaluator, so a long-lived endpoint's term
 dictionary only grows with *stored* data.
 
-Existence checks (ASK, EXISTS) use a separate *lazy* seeded pipeline
-that stops at the first solution; it shares the cached join orders.
+Existence checks run on the same pipeline, set at a time.  A
+top-level ``FILTER [NOT] EXISTS`` is a **semi-/anti-join**: the child
+table's distinct correlated keys seed one solve of the EXISTS pattern
+(in chunks of :data:`EXISTS_CHUNK` keys, with the join strategy chosen
+and each hash build made once for the whole key set), and rows are
+kept or dropped by whether their key produced a solution.  An EXISTS
+anywhere else in an expression solves its pattern seeded by the one
+row.  ASK returns on the first non-empty streamed batch.
 
 Dataset semantics follow Virtuoso's convenient default (and the paper's
 setup): with no ``FROM`` clause the default graph is the *union* of the
@@ -115,12 +121,7 @@ from repro.sparql.expressions import (
     effective_boolean_value,
     order_key,
 )
-from repro.sparql.optimizer import (
-    get_plan,
-    stream_shape,
-    substituted,
-    substituted_endpoints,
-)
+from repro.sparql.optimizer import get_plan, stream_shape
 from repro.sparql.paths import evaluate_path
 from repro.sparql.results import ResultTable
 
@@ -209,6 +210,11 @@ class StreamTelemetry:
 #: The shared streaming-telemetry counters.
 STREAM_TELEMETRY = StreamTelemetry()
 
+#: Distinct seed keys one EXISTS solve takes at a time: large enough
+#: that a 20k-row semi-join plans a handful of times, small enough that
+#: a pairwise pattern (IC-12) keeps its intermediate tables bounded.
+EXISTS_CHUNK = 4096
+
 #: Kill switch for the streaming SELECT path (differential tests flip
 #: it off to compare streamed against fully materialized execution).
 STREAMING_ENABLED = True
@@ -261,7 +267,7 @@ class GraphSource:
     """A matchable view over one or more graphs.
 
     Sources expose both a term-level API (``match`` / ``estimate``,
-    used by property paths and the lazy existence pipeline) and an
+    used by property paths, DESCRIBE and the legacy planner) and an
     id-level API (``match_ids`` / ``estimate_ids``, the batch joins'
     allocation-free fast path).
     """
@@ -484,55 +490,13 @@ class DatasetContext:
                 if graph.identifier is not None]
 
 
-# ---------------------------------------------------------------------------
-# Lazy-path helpers (existence checks)
-# ---------------------------------------------------------------------------
-
-
-def _try_extend(binding: Binding, pattern: TriplePatternNode,
-                triple: Triple) -> Optional[Binding]:
-    """Extend ``binding`` with the matches of ``pattern`` against ``triple``.
-
-    Returns ``None`` when a variable would need two different values
-    (repeated-variable consistency).
-    """
-    extension: Optional[Binding] = None
-    for position, value in zip(pattern.positions(), triple):
-        if isinstance(position, Var):
-            current = binding.get(position.name)
-            if current is None and extension is not None:
-                current = extension.get(position.name)
-            if current is None:
-                if extension is None:
-                    extension = {}
-                extension[position.name] = value
-            elif current != value:
-                return None
-        elif position != value:
-            return None
-    if extension is None:
-        return dict(binding)
-    merged = dict(binding)
-    merged.update(extension)
-    return merged
-
-
-def _compatible(left: Binding, right: Binding) -> bool:
-    for name, value in right.items():
-        if name in left and left[name] != value:
-            return False
-    return True
-
-
 class PatternEvaluator:
     """Evaluates pattern nodes against a dataset context.
 
-    Two pipelines share the cached join plans:
-
-    * :meth:`solve` — the batch columnar pipeline; tables in, tables
-      out.  This is what SELECT / CONSTRUCT / DESCRIBE / updates use.
-    * :meth:`evaluate` — the lazy seeded generator, which stops work at
-      the first solution; ASK and EXISTS use it.
+    :meth:`solve` is the batch columnar pipeline — tables in, tables
+    out — and :meth:`stream_tables` its batch-at-a-time form for
+    LIMIT and ASK.  Every query form, existence checks included, runs
+    on these two.
     """
 
     def __init__(self, context: DatasetContext,
@@ -546,16 +510,22 @@ class PatternEvaluator:
         if self._gov is not None:
             # a dead-on-arrival request (cancelled token, expired
             # deadline) dies here, before any evaluation work — this
-            # also covers lazy early-exit paths (ASK) that may finish
+            # also covers early-exit paths (ASK) that may finish
             # without ever reaching a batch boundary
             self._gov.check()
         #: per-query overlay: computed BIND/VALUES terms intern into a
         #: discardable overflow id range, never into the base dictionary
         self._dict = context.dataset.dictionary.overlay()
         self._subselect_tables: Dict[tuple, Tuple[Tuple[str, ...], list]] = {}
-        self._subselect_rows: Dict[tuple, List[Binding]] = {}
         self._visible_cache: Dict[Tuple[str, ...], list] = {}
         self._marker_count = 0
+        #: hash-join build sides kept for reuse across tables, keyed by
+        #: source token and step shape; set only while one build may
+        #: serve many tables (a chunked EXISTS, a morsel worker)
+        self._builds: Optional[Dict[tuple, Dict]] = None
+        #: rows a step would see unchunked per row it sees in a chunk,
+        #: so a chunked EXISTS picks hash vs probe for all its seeds
+        self._seed_scale = 1.0
         #: when set to a list, every executed join step appends a
         #: :class:`StepTrace` (EXPLAIN's estimated-vs-actual view)
         self.trace: Optional[List[StepTrace]] = None
@@ -596,16 +566,10 @@ class PatternEvaluator:
             return table
         raise EvaluationError(f"unknown pattern node {node!r}")
 
-    def solutions(self, node: PatternNode, source: GraphSource,
-                  seed: Optional[Binding] = None) -> List[Binding]:
+    def solutions(self, node: PatternNode,
+                  source: GraphSource) -> List[Binding]:
         """Batch-evaluate and decode into {var: term} dict bindings."""
-        table = BindingTable.unit()
-        if seed:
-            names = tuple(seed.keys())
-            encode = self._dict.encode
-            table = BindingTable(
-                names, [tuple(encode(seed[name]) for name in names)])
-        result = self.solve(node, source, table)
+        result = self.solve(node, source)
         decode = self._dict.decode
         out: List[Binding] = []
         visible = result.visible_slots()
@@ -638,6 +602,8 @@ class PatternEvaluator:
         patterns = node.patterns
         if not patterns:
             return table
+        if _faults.ACTIVE:
+            _faults.fire("evaluator.step")  # the first step, dead or not
         if self._bgp_dead(patterns):
             return BindingTable(table.names, [])
         bound = frozenset(
@@ -648,7 +614,7 @@ class PatternEvaluator:
         for position, step in enumerate(plan.steps):
             if not table.rows:
                 break
-            if _faults.ACTIVE:
+            if position and _faults.ACTIVE:
                 _faults.fire("evaluator.step")
             pattern = patterns[step.index]
             rows_in = len(table.rows)
@@ -825,9 +791,17 @@ class PatternEvaluator:
         """Join-strategy choice for one step: build the bucketed index
         scan (hash join) when the matched range is small enough
         relative to the binding table, probe per distinct key
-        otherwise.  Overridden by the morsel workers, whose tables are
+        otherwise.  A chunked EXISTS scales ``rows`` up to its whole
+        seed set, so every chunk makes the choice the unchunked solve
+        would.  Overridden by the morsel workers, whose tables are
         small slices of a large scan and whose builds are cached."""
+        rows = rows * self._seed_scale
         return rows >= 64 and source.estimate_ids(base) <= 4 * rows
+
+    def _build_token(self, source: GraphSource):
+        """What identifies ``source``'s build sides in :attr:`_builds`
+        (``None``: never reuse them)."""
+        return source.cache_key()
 
     # repro: allow[governor-discipline] -- match_ids arrives pre-metered
     def _hash_memo(self, source: GraphSource, base: IdPattern, match_ids,
@@ -836,41 +810,54 @@ class PatternEvaluator:
         """The build side of the hash join: extension tuples bucketed
         per distinct join key, off one index scan — vectorized when
         the source serves the range as arrays (sorted-run grouping),
-        per-entry otherwise.  Read-only to the probe side, so workers
-        may reuse one build across morsels."""
+        per-entry otherwise.  Read-only to the probe side, so while
+        :attr:`_builds` is set one build serves every later table
+        with the same source and step shape."""
+        key = None
+        if self._builds is not None:
+            token = self._build_token(source)
+            if token is not None:
+                key = (token, base, tuple(v_positions), tuple(n_positions),
+                       tuple(d_checks), single)
+                cached = self._builds.get(key)
+                if cached is not None:
+                    return cached
         ext_memo: Dict = {}
         arrays = self._vector_matches(source, base)
         if arrays is not None:
             self._build_hash_memo(arrays, v_positions, n_positions,
                                   d_checks, single, ext_memo)
-            return ext_memo
-        v_pos0 = v_positions[0]
-        n_count = len(n_positions)
-        np0 = n_positions[0] if n_count > 0 else -1
-        np1 = n_positions[1] if n_count > 1 else -1
-        # the callable arrives pre-metered from _step_triple (wrapped
-        # with self._gov.metered there), so every entry is charged
-        for match in match_ids(base):
-            if d_checks and any(match[a] != match[b]
-                                for a, b in d_checks):
-                continue
-            if single:
-                key = match[v_pos0]
-            else:
-                key = tuple(match[position] for position in v_positions)
-            if n_count == 1:
-                ext = (match[np0],)
-            elif n_count == 2:
-                ext = (match[np0], match[np1])
-            elif n_count == 0:
-                ext = ()
-            else:
-                ext = tuple(match[position] for position in n_positions)
-            got = ext_memo.get(key)
-            if got is None:
-                ext_memo[key] = [ext]
-            else:
-                got.append(ext)
+        else:
+            v_pos0 = v_positions[0]
+            n_count = len(n_positions)
+            np0 = n_positions[0] if n_count > 0 else -1
+            np1 = n_positions[1] if n_count > 1 else -1
+            # the callable arrives pre-metered from _step_triple
+            # (wrapped with self._gov.metered there)
+            for match in match_ids(base):
+                if d_checks and any(match[a] != match[b]
+                                    for a, b in d_checks):
+                    continue
+                if single:
+                    join_key = match[v_pos0]
+                else:
+                    join_key = tuple(match[position]
+                                     for position in v_positions)
+                if n_count == 1:
+                    ext = (match[np0],)
+                elif n_count == 2:
+                    ext = (match[np0], match[np1])
+                elif n_count == 0:
+                    ext = ()
+                else:
+                    ext = tuple(match[position] for position in n_positions)
+                got = ext_memo.get(join_key)
+                if got is None:
+                    ext_memo[join_key] = [ext]
+                else:
+                    got.append(ext)
+        if key is not None:
+            self._builds[key] = ext_memo
         return ext_memo
 
     def _step_triple(self, pattern: TriplePatternNode, source: GraphSource,
@@ -1101,11 +1088,10 @@ class PatternEvaluator:
         if isinstance(node, BGP):
             yield from self._stream_bgp(node, source, batch)
         elif isinstance(node, Filter):
-            eval_context = self._context_for(source)
             for table in self._stream(node.child, source, batch):
                 if table.rows:
                     table = self._filter_table(table, node.condition,
-                                               eval_context)
+                                               source)
                 yield table
         elif isinstance(node, Extend):
             for table in self._stream(node.child, source, batch):
@@ -1130,6 +1116,8 @@ class PatternEvaluator:
         if not patterns:
             yield BindingTable.unit()
             return
+        if _faults.ACTIVE:
+            _faults.fire("evaluator.step")  # the first step, dead or not
         if self._bgp_dead(patterns):
             yield BindingTable((), [])
             return
@@ -1144,6 +1132,8 @@ class PatternEvaluator:
             for step in rest:
                 if not table.rows:
                     break
+                if _faults.ACTIVE:
+                    _faults.fire("evaluator.step")
                 pattern = patterns[step.index]
                 if isinstance(pattern, PathPatternNode):
                     table = self._step_path(pattern, source, table)
@@ -1302,14 +1292,26 @@ class PatternEvaluator:
         child = self.solve(node.child, source, table)
         if not child.rows:
             return child
-        return self._filter_table(child, node.condition,
-                                  self._context_for(source))
+        return self._filter_table(child, node.condition, source)
 
-    def _filter_table(self, child: BindingTable, condition,
-                      eval_context: EvalContext) -> BindingTable:
+    def _filter_table(self, child: BindingTable, condition: Expression,
+                      source: GraphSource) -> BindingTable:
+        """The rows of ``child`` that satisfy ``condition``.
+
+        A bare ``[NOT] EXISTS`` is one semi-/anti-join over the whole
+        table; any other condition is evaluated row by row, decoding
+        only the variables it mentions."""
+        if isinstance(condition, ExistsExpression):
+            return self._semi_join(child, condition, source)
+        eval_context = self._context_for(source)
+        needed = condition.variables()
+        picks = [(slot, name) for slot, name in child.visible_slots()
+                 if name in needed]
+        decode = self._dict.decode
         out_rows = []
         for row in child.rows:
-            binding = self._decode_row(child.names, row)
+            binding = {name: decode(row[slot]) for slot, name in picks
+                       if row[slot] is not None}
             try:
                 if effective_boolean_value(
                         condition.evaluate(binding, eval_context)):
@@ -1317,6 +1319,63 @@ class PatternEvaluator:
             except ExpressionError:
                 continue
         return BindingTable(child.names, out_rows)
+
+    def _semi_join(self, child: BindingTable, exists: ExistsExpression,
+                   source: GraphSource) -> BindingTable:
+        """``FILTER [NOT] EXISTS`` over every row of ``child`` at once.
+
+        A row's seed key is its cells for the visible variables the
+        pattern mentions (``None`` cells stay free inside the pattern,
+        as in a one-row seed); the distinct keys are solved together
+        and a row survives when its key's outcome matches the
+        polarity."""
+        mentioned = exists.variables()
+        picks = [slot for slot, name in child.visible_slots()
+                 if name in mentioned]
+        markers: Dict[tuple, int] = {}
+        row_markers = [
+            markers.setdefault(tuple(row[slot] for slot in picks),
+                               len(markers))
+            for row in child.rows]
+        found = self._solved_seeds(
+            exists.pattern, source,
+            tuple(child.names[slot] for slot in picks), list(markers))
+        keep = not exists.negated
+        return BindingTable(child.names, [
+            row for row, marker in zip(child.rows, row_markers)
+            if (marker in found) is keep])
+
+    def _solved_seeds(self, pattern: PatternNode, source: GraphSource,
+                      names: Tuple[str, ...], keys: List[tuple]) -> set:
+        """Indexes of the seed ``keys`` (rows over ``names``) under
+        which ``pattern`` has a solution.
+
+        Each key carries its index in a ``#ex`` marker column through
+        the solve.  Keys are solved :data:`EXISTS_CHUNK` at a time so
+        the pattern's intermediate tables stay bounded, but every
+        chunk picks hash vs probe for the whole key set and reuses the
+        hash builds of the chunks before it."""
+        self._marker_count += 1
+        marker = f"#ex{self._marker_count}"
+        seeded_names = names + (marker,)
+        outer_scale, outer_builds = self._seed_scale, self._builds
+        if outer_builds is None:
+            self._builds = {}
+        found: set = set()
+        try:
+            for start in range(0, len(keys), EXISTS_CHUNK):
+                if self._gov is not None:
+                    self._gov.check()
+                chunk = [key + (start + offset,) for offset, key
+                         in enumerate(keys[start:start + EXISTS_CHUNK])]
+                self._seed_scale = outer_scale * len(keys) / len(chunk)
+                result = self.solve(pattern, source,
+                                    BindingTable(seeded_names, chunk))
+                slot = result.slots[marker]
+                found.update(row[slot] for row in result.rows)
+        finally:
+            self._seed_scale, self._builds = outer_scale, outer_builds
+        return found
 
     def _solve_extend(self, node: Extend, source: GraphSource,
                       table: BindingTable) -> BindingTable:
@@ -1513,220 +1572,15 @@ class PatternEvaluator:
             if row[slot] is not None
         }
 
-    # ==================================================================
-    # Lazy seeded pipeline (ASK / EXISTS: stop at the first solution)
-    # ==================================================================
-
-    def evaluate(self, node: PatternNode, source: GraphSource,
-                 seed: Optional[Binding] = None) -> Iterator[Binding]:
-        binding = seed or {}
-        if isinstance(node, BGP):
-            yield from self._iter_bgp(node, source, binding)
-        elif isinstance(node, Join):
-            for left in self.evaluate(node.left, source, binding):
-                yield from self.evaluate(node.right, source, left)
-        elif isinstance(node, LeftJoin):
-            yield from self._iter_left_join(node, source, binding)
-        elif isinstance(node, UnionNode):
-            yield from self.evaluate(node.left, source, binding)
-            yield from self.evaluate(node.right, source, binding)
-        elif isinstance(node, Minus):
-            yield from self._iter_minus(node, source, binding)
-        elif isinstance(node, Filter):
-            yield from self._iter_filter(node, source, binding)
-        elif isinstance(node, Extend):
-            yield from self._iter_extend(node, source, binding)
-        elif isinstance(node, ValuesNode):
-            yield from self._iter_values(node, binding)
-        elif isinstance(node, GraphNode):
-            yield from self._iter_graph(node, source, binding)
-        elif isinstance(node, SubSelectNode):
-            yield from self._iter_subselect(node, source, binding)
-        elif isinstance(node, Empty):
-            yield dict(binding)
-        else:
-            raise EvaluationError(f"unknown pattern node {node!r}")
-
-    # -- node implementations ------------------------------------------------
-
-    def _iter_bgp(self, node: BGP, source: GraphSource,
-                  binding: Binding) -> Iterator[Binding]:
-        patterns = node.patterns
-        if not patterns:
-            yield dict(binding)
-            return
-        order = get_plan(node, frozenset(binding), source).order
-        yield from self._iter_bgp_step(patterns, order, 0, source, binding)
-
-    def _iter_bgp_step(self, patterns, order: List[int], step: int,
-                       source: GraphSource, binding: Binding
-                       ) -> Iterator[Binding]:
-        if _faults.ACTIVE:
-            _faults.fire("evaluator.step")
-        pattern = patterns[order[step]]
-        last = step == len(order) - 1
-        if isinstance(pattern, PathPatternNode):
-            for extended in self._iter_path_pattern(pattern, source, binding):
-                if last:
-                    yield extended
-                else:
-                    yield from self._iter_bgp_step(
-                        patterns, order, step + 1, source, extended)
-            return
-        concrete = substituted(pattern, binding)
-        gov = self._gov
-        for triple in source.match(concrete):
-            if gov is not None:
-                gov.tick_scan()
-            extended = _try_extend(binding, pattern, triple)
-            if extended is None:
-                continue
-            if last:
-                yield extended
-            else:
-                yield from self._iter_bgp_step(
-                    patterns, order, step + 1, source, extended)
-
-    def _iter_path_pattern(self, pattern: PathPatternNode,
-                           source: GraphSource, binding: Binding
-                           ) -> Iterator[Binding]:
-        start, end = substituted_endpoints(pattern, binding)
-        for start_term, end_term in evaluate_path(
-                source, pattern.path, start, end):
-            extended = dict(binding)
-            consistent = True
-            for position, value in zip(pattern.endpoints(),
-                                       (start_term, end_term)):
-                if isinstance(position, Var):
-                    current = extended.get(position.name)
-                    if current is None:
-                        extended[position.name] = value
-                    elif current != value:
-                        consistent = False
-                        break
-                elif position != value:
-                    consistent = False
-                    break
-            if consistent:
-                yield extended
-
-    def _iter_left_join(self, node: LeftJoin, source: GraphSource,
-                        binding: Binding) -> Iterator[Binding]:
-        for left in self.evaluate(node.left, source, binding):
-            produced = False
-            for right in self.evaluate(node.right, source, left):
-                if node.condition is not None:
-                    try:
-                        keep = effective_boolean_value(
-                            node.condition.evaluate(right, self.eval_context))
-                    except ExpressionError:
-                        keep = False
-                    if not keep:
-                        continue
-                produced = True
-                yield right
-            if not produced:
-                yield left
-
-    def _iter_minus(self, node: Minus, source: GraphSource,
-                    binding: Binding) -> Iterator[Binding]:
-        # the right side is NOT correlated with the left in SPARQL MINUS
-        removals = list(self.evaluate(node.right, source, {}))
-        for left in self.evaluate(node.left, source, binding):
-            excluded = False
-            for right in removals:
-                shared = set(left) & set(right)
-                if shared and _compatible(left, right):
-                    excluded = True
-                    break
-            if not excluded:
-                yield left
-
-    def _iter_filter(self, node: Filter, source: GraphSource,
-                     binding: Binding) -> Iterator[Binding]:
-        eval_context = self._context_for(source)
-        for row in self.evaluate(node.child, source, binding):
-            try:
-                if effective_boolean_value(
-                        node.condition.evaluate(row, eval_context)):
-                    yield row
-            except ExpressionError:
-                continue
-
-    def _iter_extend(self, node: Extend, source: GraphSource,
-                     binding: Binding) -> Iterator[Binding]:
-        eval_context = self._context_for(source)
-        for row in self.evaluate(node.child, source, binding):
-            if node.var in row:
-                raise EvaluationError(
-                    f"BIND would rebind already-bound variable ?{node.var}")
-            extended = dict(row)
-            try:
-                extended[node.var] = node.expression.evaluate(
-                    row, eval_context)
-            except ExpressionError:
-                pass  # leave unbound per SPARQL error semantics
-            yield extended
-
-    def _iter_values(self, node: ValuesNode, binding: Binding
-                     ) -> Iterator[Binding]:
-        for row in node.rows:
-            candidate = dict(binding)
-            ok = True
-            for name, value in zip(node.vars, row):
-                if value is None:
-                    continue
-                current = candidate.get(name)
-                if current is None:
-                    candidate[name] = value
-                elif current != value:
-                    ok = False
-                    break
-            if ok:
-                yield candidate
-
-    def _iter_graph(self, node: GraphNode, source: GraphSource,
-                    binding: Binding) -> Iterator[Binding]:
-        if isinstance(node.name, Var):
-            bound = binding.get(node.name.name)
-            for iri, graph in self.context.named_graphs():
-                if bound is not None and bound != iri:
-                    continue
-                seeded = dict(binding)
-                seeded[node.name.name] = iri
-                yield from self.evaluate(
-                    node.child, SingleGraphSource(graph), seeded)
-            return
-        yield from self.evaluate(
-            node.child, self.context.named_source(node.name), binding)
-
-    def _iter_subselect(self, node: SubSelectNode, source: GraphSource,
-                        binding: Binding) -> Iterator[Binding]:
-        cache_key = (id(node), source.cache_key())
-        if cache_key not in self._subselect_rows:
-            result = evaluate_select(node.query, self.context, source=source,
-                                     trace=self.trace)
-            materialized: List[Binding] = []
-            for row in result.rows:
-                materialized.append({
-                    name: value
-                    for name, value in zip(result.vars, row)
-                    if value is not None
-                })
-            self._subselect_rows[cache_key] = materialized
-        for sub_binding in self._subselect_rows[cache_key]:
-            if _compatible(binding, sub_binding):
-                merged = dict(binding)
-                merged.update(sub_binding)
-                yield merged
-
     # -- helpers ---------------------------------------------------------------
 
     def _context_for(self, source: GraphSource) -> EvalContext:
         def exists_evaluator(pattern: PatternNode, binding: Binding) -> bool:
-            return next(
-                iter(self.evaluate(pattern, source, binding)), None
-            ) is not None
+            # an EXISTS inside a larger expression: a one-row seed
+            names = tuple(binding)
+            encode = self._dict.encode
+            key = tuple(encode(binding[name]) for name in names)
+            return bool(self._solved_seeds(pattern, source, names, [key]))
 
         context = EvalContext(exists_evaluator=exists_evaluator,
                               now=self.eval_context.now)
@@ -2148,13 +2002,16 @@ def _aggregate_rows(query: SelectQuery, solutions: List[Binding],
 
 
 def evaluate_ask(query: AskQuery, context: DatasetContext) -> bool:
-    """Evaluate an ASK query (lazily: stops at the first solution)."""
+    """Evaluate an ASK query: true on the first non-empty solution
+    batch (streamed when the pattern's shape allows, else one solve)."""
     context = context.scoped(getattr(query, "from_graphs", None),
                              getattr(query, "from_named", None))
     source = context.default_source()
     evaluator = PatternEvaluator(context)
-    return next(
-        iter(evaluator.evaluate(query.pattern, source, {})), None) is not None
+    if stream_shape(query.pattern):
+        return any(table.rows for table in
+                   evaluator.stream_tables(query.pattern, source))
+    return bool(evaluator.solve(query.pattern, source).rows)
 
 
 def evaluate_construct(query, context: DatasetContext) -> Graph:

@@ -445,7 +445,10 @@ class ExistsExpression(Expression):
         return boolean(exists != self.negated)
 
     def variables(self) -> set[str]:
-        return set()
+        # the outer variables the pattern correlates on are among the
+        # ones it mentions (triple positions, nested conditions, ...)
+        from repro.sparql.algebra import mentioned_variables
+        return mentioned_variables(self.pattern)
 
 
 class FunctionExpression(Expression):

@@ -254,35 +254,26 @@ class _WorkerEvaluator(PatternEvaluator):
     parent's ``estimate <= 4 * rows`` hash-join heuristic would send
     every morsel down the per-key index-probe path — quadratic across
     the fan-out.  Workers instead always build the hash side against
-    the full mapped columns and memoize the build in
-    :data:`_WORKER_MEMOS`: the first morsel pays for the scan once per
-    worker, every later morsel (and every later query against the
-    same epoch) probes it for free.  The memo is read-only on the
+    the full mapped columns and keep the builds in
+    :data:`_WORKER_MEMOS` (the evaluator's build-reuse hook, keyed by
+    the columns' ``cache_token``): the first morsel pays for the scan
+    once per worker, every later morsel (and every later query against
+    the same epoch) probes it for free.  The memo is read-only on the
     probe side (missing keys mean *no matches* under ``use_hash``), so
     sharing it across morsels cannot corrupt results.
     """
+
+    def __init__(self, context) -> None:
+        super().__init__(context)
+        self._builds = _WORKER_MEMOS
 
     def _prefer_hash(self, source, base, rows) -> bool:
         if isinstance(source, _WorkerUnionSource):
             return rows > 0
         return super()._prefer_hash(source, base, rows)
 
-    def _hash_memo(self, source, base, match_ids, v_positions,
-                   n_positions, d_checks, single) -> Dict:
-        token = getattr(source, "cache_token", None)
-        if token is None:
-            return super()._hash_memo(source, base, match_ids,
-                                      v_positions, n_positions,
-                                      d_checks, single)
-        key = (token, base, tuple(v_positions), tuple(n_positions),
-               tuple(d_checks), single)
-        memo = _WORKER_MEMOS.get(key)
-        if memo is None:
-            memo = super()._hash_memo(source, base, match_ids,
-                                      v_positions, n_positions,
-                                      d_checks, single)
-            _WORKER_MEMOS[key] = memo
-        return memo
+    def _build_token(self, source):
+        return getattr(source, "cache_token", None)
 
 
 _ABORTED: Dict[str, Any] = {"aborted": True, "names": (), "rows": [],

@@ -64,6 +64,13 @@ class TestEvaluatorExceptionMapping:
                              f"?s <{EX}q> ?v }}")
         assert info.value.code == "internal_error"
 
+    def test_streamed_select_step_is_mapped(self, endpoint):
+        # a LIMIT query streams; its join steps fire the failpoint too
+        with faults.failpoint("evaluator.step", raises=KeyError):
+            with pytest.raises(QueryExecutionError) as info:
+                endpoint.select(QUERY + " LIMIT 2")
+        assert info.value.code == "internal_error"
+
     def test_construct_path_is_mapped(self, endpoint):
         with faults.failpoint("evaluator.step", raises=RecursionError):
             with pytest.raises(QueryExecutionError):

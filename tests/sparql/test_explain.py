@@ -200,7 +200,7 @@ def test_analyze_traces_subselect_steps(dataset):
 
 
 def test_analyze_traces_subselect_in_lazy_pipeline(dataset):
-    """ASK uses the lazy pipeline; its sub-SELECTs trace too."""
+    """ASK runs on the batch pipeline; its sub-SELECTs trace too."""
     plan = explain(f"""
         ASK {{
             {{ SELECT ?s WHERE {{ ?s <{EX}value> ?v }} }}
