@@ -1934,15 +1934,14 @@ def _aggregate_rows(query: SelectQuery, solutions: List[Binding],
                     eval_context: EvalContext) -> List[Binding]:
     """GROUP BY + aggregate projection + HAVING.
 
-    Contract relied on by the parallel executor's in-worker aggregate
-    path (:meth:`~repro.sparql.parallel.ParallelExecutor.
-    _merge_aggregate` replicates it partial-by-partial): groups appear
-    in first-occurrence order of their key over the solution sequence,
-    and each projection follows :meth:`~repro.sparql.expressions.
-    Aggregate.apply` — including the empty-group cases (COUNT binds 0,
-    SUM binds 0, AVG/MIN/MAX stay unbound via :class:`ExpressionError`)
-    and the whole-aggregate unbinding when any value is non-numeric.
-    Changes to these semantics must be mirrored there.
+    Groups appear in first-occurrence order of their key over the
+    solution sequence, the order the parallel executor's in-worker
+    aggregate path also produces.  Each projection is
+    :meth:`~repro.sparql.expressions.Aggregate.apply`, whose
+    COUNT/SUM/AVG/MIN/MAX state and empty-group rule live in
+    :mod:`repro.sparql.aggregates`, shared with that path; an unbound
+    aggregate raises :class:`ExpressionError` and leaves its
+    projection unbound.
     """
     groups: Dict[Tuple, List[Binding]] = {}
     key_bindings: Dict[Tuple, Binding] = {}

@@ -41,6 +41,7 @@ from repro.rdf.terms import (
     XSD_INTEGER,
     XSD_STRING,
 )
+from repro.sparql import aggregates
 from repro.sparql.errors import ExpressionError
 
 Binding = Dict[str, Term]
@@ -940,8 +941,6 @@ class Aggregate(Expression):
                     seen.add(value)
                     unique.append(value)
             values = unique
-        if self.name == "COUNT":
-            return Literal(len(values))
         if self.name == "SAMPLE":
             if not values:
                 raise ExpressionError("SAMPLE over empty group")
@@ -949,22 +948,26 @@ class Aggregate(Expression):
         if self.name == "GROUP_CONCAT":
             return Literal(self.separator.join(
                 string_value(v) for v in values), datatype=XSD_STRING)
-        if not values:
-            if self.name == "SUM":
-                return Literal(0)
-            raise ExpressionError(f"{self.name} over empty group")
-        if self.name in ("SUM", "AVG"):
-            total: Any = 0
-            for value in values:
-                total = total + numeric_value(value)
-            if self.name == "SUM":
-                return _numeric_literal(total)
-            if isinstance(total, int):
-                return _numeric_literal(Decimal(total) / Decimal(len(values)))
-            return _numeric_literal(total / len(values))
-        # MIN / MAX use the ORDER BY total ordering
-        keyed = sorted(values, key=order_key)
-        return keyed[0] if self.name == "MIN" else keyed[-1]
+        # COUNT / SUM / AVG / MIN / MAX: the shared state and finish
+        state = aggregates.initial(self.name)
+        if self.name == "COUNT":
+            state = len(values)
+        elif self.name in ("SUM", "AVG"):
+            try:
+                numbers = [numeric_value(value) for value in values]
+            except ExpressionError:
+                state[2] = True
+            else:
+                state = [aggregates.add(state[0], *numbers), len(numbers),
+                         False]
+        elif values:
+            # min/max return the first of tied values
+            choose = min if self.name == "MIN" else max
+            state = choose(values, key=order_key)
+        result = aggregates.finish(self.name, state)
+        if result is None:
+            raise ExpressionError(f"{self.name} is unbound over this group")
+        return result
 
     def __repr__(self) -> str:
         distinct = "DISTINCT " if self.distinct else ""

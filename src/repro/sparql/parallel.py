@@ -58,7 +58,8 @@ from repro.rdf.columnar import IdPattern, TripleColumns, concat_arrays
 from repro.rdf.concurrency import SHM_SEGMENTS
 from repro.rdf.dictionary import TermDictionary
 from repro.rdf.graph import DatasetSnapshot, GraphSnapshot
-from repro.rdf.terms import Literal, Term
+from repro.rdf.terms import Term
+from repro.sparql import aggregates
 from repro.sparql.algebra import BGP, SelectQuery, TriplePatternNode, Var
 from repro.sparql.bindings import BindingTable
 from repro.sparql.errors import QueryExecutionError
@@ -74,7 +75,6 @@ from repro.sparql.expressions import (
     Aggregate,
     ExpressionError,
     VariableExpression,
-    _numeric_literal,
     numeric_value,
     order_key,
 )
@@ -85,11 +85,11 @@ __all__ = ["AUTO_THRESHOLD", "DEFAULT_WORKERS", "MORSEL_ROWS",
            "ParallelExecutor"]
 
 #: Default morsel size (first-step scan rows per worker task).
-MORSEL_ROWS = int(os.environ.get("REPRO_PARALLEL_MORSEL_ROWS", "16384"))
+MORSEL_ROWS = 16384
 
 #: Auto-enable threshold: below this estimated first-step cardinality
 #: a query stays serial (fan-out overhead would dominate).
-AUTO_THRESHOLD = int(os.environ.get("REPRO_PARALLEL_THRESHOLD", "8192"))
+AUTO_THRESHOLD = 8192
 
 #: Default worker-pool width when ``parallel=True`` picks for you.
 DEFAULT_WORKERS = 4
@@ -284,22 +284,11 @@ def _worker_partials(spec: Dict[str, Any], table: BindingTable,
                      dictionary: TermDictionary) -> List[Tuple]:
     """Per-group aggregate partials over one morsel's id-level rows.
 
-    Per aggregate item the partial state is chosen so the parent can
-    merge *exactly* (see :meth:`ParallelExecutor._merge_aggregate`):
-
-    * ``COUNT`` — the count of rows whose argument is bound;
-    * ``SUM`` / ``AVG`` — ``(total, n, err)``: the Python-semantics
-      running total (int stays int, Decimal stays Decimal — addition
-      is associative for both, so partial sums merge losslessly), the
-      contributing-value count, and a sticky error flag for values
-      :func:`numeric_value` rejects (the serial path leaves the whole
-      aggregate unbound in that case);
-    * ``MIN`` / ``MAX`` — the id of the morsel's best term under
-      :func:`order_key` (first-encountered among ties, like the serial
-      stable sort); the parent re-compares one candidate per morsel.
-
-    Only group keys and the handful of per-group extrema/total terms
-    are ever decoded — the bulk of the morsel stays id-level.
+    Each item keeps the state :mod:`repro.sparql.aggregates` defines,
+    folded over ids: MIN/MAX keep the id of the best term, so the
+    parent re-compares one candidate per morsel.  Only group keys and
+    the handful of per-group extrema/total terms are ever decoded —
+    the bulk of the morsel stays id-level.
     """
     if not table.rows:
         return []
@@ -317,14 +306,7 @@ def _worker_partials(spec: Dict[str, Any], table: BindingTable,
         key = tuple(row[slot] for slot in group_slots)
         states = groups.get(key)
         if states is None:
-            states = []
-            for kind, _arg in items:
-                if kind == "COUNT":
-                    states.append(0)
-                elif kind in ("SUM", "AVG"):
-                    states.append([0, 0, False])
-                else:  # MIN / MAX
-                    states.append(None)
+            states = [aggregates.initial(kind) for kind, _arg in items]
             groups[key] = states
         for index, (kind, _arg) in enumerate(items):
             slot = item_slots[index]
@@ -347,7 +329,10 @@ def _worker_partials(spec: Dict[str, Any], table: BindingTable,
                 if number is ExpressionError:
                     state[2] = True
                 else:
-                    state[0] = state[0] + number
+                    try:
+                        state[0] = state[0] + number
+                    except TypeError:  # Decimal + float: promote
+                        state[0] = aggregates.add(state[0], number)
                     state[1] += 1
             else:  # MIN / MAX
                 best = states[index]
@@ -359,6 +344,7 @@ def _worker_partials(spec: Dict[str, Any], table: BindingTable,
                 for vid in (best, value_id):
                     if vid not in key_cache:
                         key_cache[vid] = order_key(decode(vid))
+                # strictly better only: the first of tied terms wins
                 if kind == "MIN":
                     if key_cache[value_id] < key_cache[best]:
                         states[index] = value_id
@@ -456,10 +442,6 @@ class _Job:
         self.skew = 1.0
 
 
-#: Aggregates the workers can compute as mergeable per-group partials.
-_PARTIAL_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
-
-
 def _fast_aggregate_spec(query: SelectQuery, available: frozenset
                          ) -> Optional[Tuple[
                              List[Tuple[str, str]],
@@ -490,7 +472,7 @@ def _fast_aggregate_spec(query: SelectQuery, available: frozenset
             continue
         aggregate = item.expression
         if not isinstance(aggregate, Aggregate) or aggregate.distinct \
-                or aggregate.name not in _PARTIAL_AGGREGATES:
+                or aggregate.name not in aggregates.KINDS:
             return None
         argument = aggregate.expression
         if argument is None:
@@ -782,16 +764,17 @@ class ParallelExecutor:
         the serial grouping stage's first-occurrence group order; only
         group keys and per-morsel extremum candidates are ever decoded
         — the whole point of keeping aggregation id-level in the
-        workers.  Each merge step replicates
-        :meth:`~repro.sparql.expressions.Aggregate.apply`: COUNT adds
-        counts, SUM/AVG add Python-semantics totals (exact for
-        int/Decimal) with the empty-group and non-numeric cases
-        producing the same bound/unbound outcomes, MIN/MAX re-compare
-        one candidate id per morsel under :func:`order_key`.
+        workers.  Merge and finish are :mod:`repro.sparql.aggregates`,
+        which :meth:`~repro.sparql.expressions.Aggregate.apply` uses
+        too.
         """
-        from decimal import Decimal
+        decode = evaluator._dict.decode
         items = job.agg_items or []
         merged: Dict[Tuple[Optional[int], ...], List[Any]] = {}
+
+        def term_key(term_id: int) -> Tuple:
+            return order_key(decode(term_id))
+
         for payload in payloads:
             for key, states in payload["partials"]:
                 into = merged.get(key)
@@ -799,59 +782,24 @@ class ParallelExecutor:
                     merged[key] = list(states)
                     continue
                 for index, (_name, kind, _arg) in enumerate(items):
-                    state = states[index]
-                    if kind == "COUNT":
-                        into[index] += state
-                    elif kind in ("SUM", "AVG"):
-                        into[index] = [into[index][0] + state[0],
-                                       into[index][1] + state[1],
-                                       into[index][2] or state[2]]
-                    elif state is not None:
-                        best = into[index]
-                        if best is None:
-                            into[index] = state
-                        elif best != state:
-                            decode = evaluator._dict.decode
-                            left = order_key(decode(best))
-                            right = order_key(decode(state))
-                            if (kind == "MIN" and right < left) \
-                                    or (kind == "MAX" and right > left):
-                                into[index] = state
+                    into[index] = aggregates.merge(
+                        kind, into[index], states[index], term_key)
         if not query.group_by and not merged:
-            # the implicit single group still yields one result row:
-            # COUNT binds 0, SUM binds 0, AVG/MIN/MAX stay unbound
-            merged[()] = [0 if kind == "COUNT"
-                          else [0, 0, False] if kind in ("SUM", "AVG")
-                          else None
+            # the implicit single group still yields one result row
+            merged[()] = [aggregates.initial(kind)
                           for _name, kind, _arg in items]
-        decode = evaluator._dict.decode
         results: List[Dict[str, Term]] = []
         for key, states in merged.items():
             binding: Dict[str, Term] = {}
             for cell, (_variable, out_name) in zip(key, job.agg_keys or []):
                 if cell is not None:
                     binding[out_name] = decode(cell)
-            for index, (name, kind, _arg) in enumerate(items):
-                state = states[index]
-                if kind == "COUNT":
-                    binding[name] = Literal(state)
-                    continue
-                if kind in ("SUM", "AVG"):
-                    total, count, err = state
-                    if err:
-                        continue  # serial path: projection stays unbound
-                    if kind == "SUM":
-                        binding[name] = Literal(0) if count == 0 \
-                            else _numeric_literal(total)
-                    elif count:
-                        if isinstance(total, int):
-                            binding[name] = _numeric_literal(
-                                Decimal(total) / Decimal(count))
-                        else:
-                            binding[name] = _numeric_literal(total / count)
-                    continue
-                if state is not None:
-                    binding[name] = decode(state)
+            for (name, kind, _arg), state in zip(items, states):
+                value = aggregates.finish(kind, state)
+                if value is None:
+                    continue  # the projection stays unbound
+                binding[name] = decode(value) if kind in ("MIN", "MAX") \
+                    else value
             results.append(binding)
         return results
 

@@ -294,6 +294,40 @@ def test_rules_scoped_to_their_paths():
                         "lock-discipline") == []
 
 
+def test_parallel_safety_checks_kernel_functions_workers_call():
+    # a star-kernel function that runs in workers may not touch a
+    # parent module cache; a parent-side kernel function may
+    bad = """
+    def partials(views, lo, hi, plan):
+        PLAN_CACHE.clear()
+        return views[plan][lo:hi]
+
+    def compile(star, program):
+        return SHM_SEGMENTS, star, program
+    """
+    found = findings_for(bad, "src/repro/olap/engine.py", "parallel-safety")
+    assert [finding.line for finding in found] == [2]
+    # every function of the SPARQL aggregate-state module is worker-side
+    state = """
+    def merge(kind, left, right, key):
+        return STREAM_TELEMETRY, left
+    """
+    assert findings_for(state, "src/repro/sparql/aggregates.py",
+                        "parallel-safety")
+
+
+def test_parallel_safety_kernel_scopes_exist():
+    # a renamed kernel function must not silently leave the rule's scope
+    import ast
+
+    rule = RULES_BY_ID["parallel-safety"]
+    for suffix, names in rule.KERNEL_SCOPES.items():
+        tree = ast.parse((ROOT / "src" / suffix).read_text())
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)}
+        assert defined and (names is None or names <= defined), suffix
+
+
 # -- baseline mechanics ------------------------------------------------------
 
 

@@ -29,7 +29,7 @@ from repro.sparql import LocalEndpoint
 from repro.sparql.errors import EndpointError
 from repro.ql import QLBuilder, QLEngine, attr, measure, simplify
 from repro.olap import NativeOLAPEngine, compare_results, extract_star_schema
-from repro.olap.engine import _aggregate
+from repro.olap.engine import StarPlan, finish, partials
 from repro.olap.errors import (
     DiceTypeError,
     OLAPEngineError,
@@ -96,14 +96,17 @@ class TestTypedErrors:
 
 
 class TestAggregateEdgeUnits:
-    """``_aggregate`` must never fabricate 0.0 / ±inf for groups with
-    no usable values — those cells stay *undefined* (valid=False)."""
+    """The kernel's ``finish`` must never fabricate 0.0 / ±inf for
+    groups with no usable values — those cells stay *undefined*
+    (valid=False)."""
 
     def empty_group(self, keyword):
-        # group 0 has one value, group 1 has none
-        values = np.array([5.0])
-        inverse = np.array([0])
-        return _aggregate(keyword, values, inverse, 2)
+        # group 0 holds the one value 5.0, group 1 holds none
+        counts = np.array([1.0, 0.0])
+        states = {"SUM": np.array([5.0, 0.0]), "AVG": np.array([5.0, 0.0]),
+                  "MIN": np.array([5.0, np.inf]),
+                  "MAX": np.array([5.0, -np.inf]), "COUNT": None}
+        return finish(keyword, states[keyword], counts)
 
     def test_avg_empty_group_is_undefined_not_zero(self):
         out, valid = self.empty_group("AVG")
@@ -128,16 +131,31 @@ class TestAggregateEdgeUnits:
             assert valid.tolist() == [True, True]
             assert out[1] == 0.0
 
-    def test_nan_values_do_not_poison_groups(self):
-        values = np.array([np.nan, 3.0, 7.0])
-        inverse = np.array([0, 0, 1])
-        out, valid = _aggregate("AVG", values, inverse, 2)
-        assert out[0] == 3.0 and out[1] == 7.0
-        assert valid.all()
+    def test_nan_measure_drops_the_fact_from_every_aggregate(self):
+        # fact 0 has a NaN ``b``: a SPARQL join on ``b`` drops that
+        # observation, so it counts towards no aggregate of the query,
+        # not even the ones over ``a``
+        views = {"c:d": np.array([0, 0, 1]),
+                 "m:a": np.array([100.0, 3.0, 7.0]),
+                 "m:b": np.array([np.nan, 1.0, 2.0])}
+        plan = StarPlan(
+            axis_levels={}, axes=(("c:d", np.array([0, 1])),),
+            measures=tuple((None, key, keyword) for key, keyword in
+                           (("m:a", "SUM"), ("m:a", "AVG"), ("m:a", "MIN"),
+                            ("m:a", "MAX"), ("m:a", "COUNT"),
+                            ("m:b", "SUM"))),
+            fact_dices=(), cell_dices=())
+        payload = partials(views, 0, 3, plan)
+        assert payload.keys.tolist() == [[0], [1]]
+        assert payload.counts.tolist() == [1.0, 1.0]
+        finished = [finish(keyword, state, payload.counts)[0].tolist()
+                    for (_measure, _key, keyword), state
+                    in zip(plan.measures, payload.states)]
+        assert finished == [[3.0, 7.0]] * 4 + [[1.0, 1.0], [1.0, 2.0]]
 
     def test_unknown_aggregate_is_typed(self):
         with pytest.raises(OLAPEngineError):
-            _aggregate("MEDIAN", np.array([1.0]), np.array([0]), 1)
+            finish("MEDIAN", np.array([1.0]), np.array([1.0]))
 
 
 def edge_cube():

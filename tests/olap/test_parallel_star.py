@@ -5,16 +5,24 @@ segment hygiene."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.data.namespaces import REF_PROP, SCHEMA
 from repro.demo import CONTINENT_LEVEL, QUARTER_LEVEL, YEAR_LEVEL
+from repro.qb4olap import vocabulary as qb4o
+from repro.qb4olap.model import CubeSchema, Dimension, Hierarchy, \
+    HierarchyStep, Measure
+from repro.rdf import Literal, Namespace
 from repro.rdf.concurrency import SHM_SEGMENTS
 from repro.rdf.namespace import SDMX_MEASURE
 from repro.ql import QLBuilder, all_of, any_of, attr, measure, negate, \
     simplify
-from repro.olap import NativeOLAPEngine, extract_star_schema
+from repro.olap import DimensionTable, FactTable, NativeOLAPEngine, \
+    StarSchema, extract_star_schema
 from repro.olap.parallel import ParallelStarAggregator
+
+from tests.olap.naive_oracle import naive_cells
 
 
 def assert_same_cells(serial, parallel):
@@ -28,6 +36,77 @@ def assert_same_cells(serial, parallel):
             assert math.isclose(value, other[measure_iri],
                                 rel_tol=1e-9, abs_tol=1e-9), \
                 (key, measure_iri)
+
+
+def assert_matches_oracle(star_schema, simplified, result):
+    """Cells equal the naive oracle's (floats up to summation order)."""
+    expected = naive_cells(star_schema, simplified)
+    assert set(result.cells) == set(expected)
+    for key, cell in expected.items():
+        assert set(result.cells[key]) == set(cell), key
+        for measure_iri, value in cell.items():
+            assert math.isclose(result.cells[key][measure_iri], value,
+                                rel_tol=1e-9, abs_tol=1e-9), \
+                (key, measure_iri)
+
+
+GEN = Namespace("http://example.org/generated/")
+
+
+def generated_star(seed, facts=400):
+    """A seeded star whose five measures use every aggregate keyword.
+
+    Some cities roll up to no region, some facts lack a coordinate
+    (code -1) and some lack a measure value (``NaN``), so the keep
+    rules are exercised along with the grouping.
+    """
+    rng = np.random.default_rng(seed)
+    schema = CubeSchema(dsd=GEN.dsd, dataset=GEN.ds)
+    geo = Hierarchy(GEN.geoHier, GEN.geoDim, levels=[GEN.city, GEN.region],
+                    steps=[HierarchyStep(GEN.city, GEN.region)])
+    schema.dimensions.append(Dimension(GEN.geoDim, [geo]))
+    schema.dimensions.append(Dimension(
+        GEN.timeDim, [Hierarchy(GEN.timeHier, GEN.timeDim,
+                                levels=[GEN.month])]))
+    schema.dimension_levels.update({GEN.geoDim: GEN.city,
+                                    GEN.timeDim: GEN.month})
+    schema.level_attributes[GEN.region] = [GEN.regionName]
+    keywords = {GEN.sumM: qb4o.SUM, GEN.countM: qb4o.COUNT,
+                GEN.avgM: qb4o.AVG, GEN.minM: qb4o.MIN, GEN.maxM: qb4o.MAX}
+    schema.measures.extend(Measure(iri, keyword)
+                           for iri, keyword in keywords.items())
+
+    regions = [GEN[f"region{code}"] for code in range(4)]
+    names = ["north", "south", "east", "west"]
+    cities = [GEN[f"city{code}"] for code in range(12)]
+    star = StarSchema(dataset=GEN.ds, measure_aggregates={
+        iri: qb4o.AGGREGATE_TO_SPARQL[keyword]
+        for iri, keyword in keywords.items()})
+    star.dimensions[GEN.geoDim] = DimensionTable(
+        GEN.geoDim, GEN.city, bottom_members=cities,
+        level_members={GEN.region: regions},
+        ancestor_maps={GEN.region: np.array(
+            [code % 4 if code % 5 else -1 for code in range(12)])},
+        attributes={GEN.region: {GEN.regionName: {
+            region: Literal(label) for region, label in zip(regions, names)}}})
+    months = [GEN[f"month{code}"] for code in range(6)]
+    star.dimensions[GEN.timeDim] = DimensionTable(
+        GEN.timeDim, GEN.month, bottom_members=months)
+
+    def codes(cardinality):
+        column = rng.integers(0, cardinality, facts)
+        column[rng.random(facts) < 0.05] = -1
+        return column
+
+    def values():
+        column = rng.integers(0, 100, facts).astype(np.float64)
+        column[rng.random(facts) < 0.05] = np.nan
+        return column
+
+    star.facts = FactTable(
+        coordinates={GEN.geoDim: codes(12), GEN.timeDim: codes(6)},
+        measures={iri: values() for iri in keywords})
+    return schema, star
 
 
 def base(schema):
@@ -109,6 +188,15 @@ class TestSerialParallelEquivalence:
             assert len(serial.cells) > 0 or index >= 99, index
             assert_same_cells(serial, parallel)
 
+    def test_both_engines_match_the_naive_oracle(self, star, schema,
+                                                 aggregator):
+        for program in programs(schema):
+            simplified = simplify(program, schema)
+            assert_matches_oracle(star.star, simplified,
+                                  star.evaluate(simplified))
+            assert_matches_oracle(star.star, simplified,
+                                  aggregator.evaluate(simplified))
+
     def test_morsel_size_fuzz(self, star, schema, aggregator):
         """Seeded fuzz: group splits across morsel boundaries must
         never change a cell."""
@@ -151,6 +239,67 @@ class TestSerialParallelEquivalence:
                 aggregator.close()
         finally:
             endpoint.close()
+
+    def test_edge_cube_matches_the_naive_oracle(self):
+        """No observation of the edge cube carries every measure, so
+        every grouped program keeps no cell, and the scalar program
+        keeps its one cell with SUM bound at 0 and AVG/MIN undefined."""
+        from tests.olap.test_engine_errors import EX, edge_cube
+
+        endpoint, schema = edge_cube()
+        try:
+            star_schema, _ = extract_star_schema(endpoint, schema)
+            aggregator = ParallelStarAggregator(star_schema, workers=2,
+                                                morsel_rows=1)
+            try:
+                cube = schema.dataset
+                for program in (
+                        QLBuilder(cube).dice(measure(EX.sumM) > 15).build(),
+                        QLBuilder(cube).dice(
+                            negate(measure(EX.avgM) > 0)).build(),
+                        QLBuilder(cube).rollup(EX.geoDim, EX.region).build(),
+                        QLBuilder(cube).slice(EX.geoDim).build()):
+                    simplified = simplify(program, schema)
+                    for engine in (NativeOLAPEngine(star_schema), aggregator):
+                        assert_matches_oracle(star_schema, simplified,
+                                              engine.evaluate(simplified))
+            finally:
+                aggregator.close()
+        finally:
+            endpoint.close()
+
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_generated_star_matches_the_naive_oracle(self, seed):
+        """Every aggregate keyword, unmapped members, missing measure
+        values and attribute/measure dices on a seeded star."""
+        schema, star_schema = generated_star(seed)
+        name = attr(GEN.geoDim, GEN.region, GEN.regionName)
+        cube = schema.dataset
+        program_list = [
+            QLBuilder(cube).rollup(GEN.geoDim, GEN.region).build(),
+            (QLBuilder(cube).rollup(GEN.geoDim, GEN.region)
+             .dice(any_of(name == "north", negate(name != "south")))
+             .build()),
+            (QLBuilder(cube).slice(GEN.timeDim)
+             .dice(all_of(measure(GEN.avgM) > 40,
+                          negate(measure(GEN.minM) < 5))).build()),
+            (QLBuilder(cube).rollup(GEN.geoDim, GEN.region)
+             .slice(GEN.timeDim)
+             .dice(any_of(name == "east", measure(GEN.maxM) >= 90))
+             .build()),
+            QLBuilder(cube).slice(GEN.geoDim).slice(GEN.timeDim).build(),
+        ]
+        aggregator = ParallelStarAggregator(star_schema, workers=2,
+                                            morsel_rows=37)
+        try:
+            for program in program_list:
+                simplified = simplify(program, schema)
+                for engine in (NativeOLAPEngine(star_schema), aggregator):
+                    assert_matches_oracle(star_schema, simplified,
+                                          engine.evaluate(simplified))
+        finally:
+            aggregator.close()
 
 
 class TestLifecycle:

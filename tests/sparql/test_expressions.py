@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from repro.rdf import IRI, BNode, Literal
 from repro.rdf.terms import XSD_DATE, XSD_DATETIME, XSD_DECIMAL, XSD_INTEGER
+from repro.sparql import aggregates
 from repro.sparql.errors import ExpressionError
 from repro.sparql.expressions import (
     Aggregate,
@@ -308,6 +309,64 @@ class TestAggregates:
     def test_unknown_aggregate_rejected(self):
         with pytest.raises(ExpressionError):
             Aggregate("MEDIAN", VariableExpression("x"))
+
+    def test_min_max_take_the_first_of_tied_values(self):
+        # 5, "5.0"^^xsd:decimal and 5.0E0 tie under order_key
+        x = VariableExpression("x")
+        ties = [lit(5), lit("5.0", datatype=XSD_DECIMAL), lit(5.0)]
+        for order in (ties, ties[::-1]):
+            group = [{"x": value} for value in order]
+            assert Aggregate("MAX", x).apply(group, CTX) == order[0]
+            assert Aggregate("MIN", x).apply(group, CTX) == order[0]
+
+    def test_sum_promotes_decimal_plus_double_to_double(self):
+        x = VariableExpression("x")
+        group = [{"x": lit(1)}, {"x": lit("2.5", datatype=XSD_DECIMAL)},
+                 {"x": lit(0.25)}]
+        assert Aggregate("SUM", x).apply(group, CTX) == lit(3.75)
+        assert Aggregate("AVG", x).apply(group, CTX) == lit(1.25)
+
+    def test_avg_of_integers_stays_exact(self):
+        group = [{"x": lit(1)}, {"x": lit(2)}]
+        mean = Aggregate("AVG", VariableExpression("x")).apply(group, CTX)
+        assert mean == lit("1.5", datatype=XSD_DECIMAL)
+
+    def test_non_numeric_value_unbinds_sum_and_avg(self):
+        group = [{"x": lit(1)}, {"x": lit("one")}]
+        for name in ("SUM", "AVG"):
+            with pytest.raises(ExpressionError):
+                Aggregate(name, VariableExpression("x")).apply(group, CTX)
+
+
+class TestAggregateState:
+    """The shared COUNT/SUM/AVG/MIN/MAX state of the serial and
+    parallel paths."""
+
+    def test_empty_group_rule(self):
+        assert aggregates.finish("COUNT", aggregates.initial("COUNT")) \
+            == lit(0)
+        assert aggregates.finish("SUM", aggregates.initial("SUM")) == lit(0)
+        for kind in ("AVG", "MIN", "MAX"):
+            assert aggregates.finish(kind, aggregates.initial(kind)) is None
+
+    def test_merge_keeps_the_earlier_of_tied_values(self):
+        five, decimal_five = lit(5), lit("5.0", datatype=XSD_DECIMAL)
+        for kind in ("MIN", "MAX"):
+            assert aggregates.merge(kind, five, decimal_five, order_key) \
+                is five
+            assert aggregates.merge(kind, None, five, order_key) is five
+        assert aggregates.merge("MAX", five, lit(6), order_key) == lit(6)
+        assert aggregates.merge("MIN", five, lit(6), order_key) is five
+
+    def test_merge_of_sums_is_exact_and_sticky(self):
+        left = [1, 1, False]
+        right = [Decimal("0.5"), 1, True]
+        merged = aggregates.merge("AVG", left, right, order_key)
+        assert merged == [Decimal("1.5"), 2, True]
+        assert aggregates.finish("AVG", merged) is None
+        merged[2] = False
+        assert aggregates.finish("AVG", merged) \
+            == lit("0.75", datatype=XSD_DECIMAL)
 
 
 # -- property-based -----------------------------------------------------------

@@ -28,8 +28,11 @@ import pytest
 
 import random
 
+from repro.rdf import Literal, Namespace
 from repro.rdf.concurrency import SHM_SEGMENTS
+from repro.rdf.terms import XSD_DECIMAL, XSD_DOUBLE
 from repro.sparql import LocalEndpoint
+from repro.sparql.parallel import MORSEL_ROWS
 
 from tests.sparql.test_columnar_equivalence import CORPUS, EX, populate
 from tests.sparql.test_streaming_equivalence import DIFFERENTIAL_QUERIES
@@ -273,3 +276,81 @@ class TestExplainIntegration:
             "OPTIONAL { ?m <http://example.org/label> ?lbl } }")
         line = [l for l in text.splitlines() if l.startswith("parallel:")]
         assert len(line) == 1 and "off" in line[0]
+
+
+TIE = Namespace("http://example.org/ties/")
+
+#: numbers that tie in families under ``order_key`` (5 = "5.0" decimal =
+#: 5.0E0 double, 2.5, ...); every decimal and double is a small dyadic
+#: fraction, so a SUM is exact however morsels associate it
+TIE_NUMBERS = [
+    Literal(5), Literal("5.0", datatype=XSD_DECIMAL), Literal(5.0),
+    Literal("5", datatype=XSD_DECIMAL), Literal("5.0E0", datatype=XSD_DOUBLE),
+    Literal(2), Literal("2.50", datatype=XSD_DECIMAL), Literal(2.5),
+    Literal(-1), Literal("-1.0", datatype=XSD_DECIMAL), Literal(0.25),
+]
+TIE_WORDS = [Literal("five"), Literal("5")]
+
+TIE_QUERIES = [
+    f"SELECT ?g (MAX(?v) AS ?hi) (MIN(?v) AS ?lo) (COUNT(?v) AS ?n) "
+    f"(SUM(?v) AS ?total) (AVG(?v) AS ?mean) WHERE {{ "
+    f"?o <{TIE.inGroup}> ?g . ?o <{TIE.amount}> ?v }} GROUP BY ?g",
+    f"SELECT (MAX(?v) AS ?hi) (MIN(?v) AS ?lo) (COUNT(?v) AS ?n) "
+    f"(SUM(?v) AS ?total) WHERE {{ "
+    f"?o <{TIE.inGroup}> ?g . ?o <{TIE.amount}> ?v }}",
+]
+
+
+@pytest.fixture(scope="module")
+def tie_endpoints():
+    """(serial, parallel) endpoints over a seeded cube whose groups mix
+    integer, decimal, double and (in one group) non-numeric values."""
+    rng = random.Random(1313)
+    serial = LocalEndpoint()
+    triples = []
+    for index in range(240):
+        observation = TIE[f"obs{index}"]
+        group = index % 4
+        pool = TIE_NUMBERS + TIE_WORDS if group == 0 else TIE_NUMBERS
+        triples.append((observation, TIE.inGroup, TIE[f"group{group}"]))
+        triples.append((observation, TIE.amount, rng.choice(pool)))
+    serial.dataset.default.add_all(triples)
+    serial.dataset.default.compact()
+    parallel = LocalEndpoint(serial.dataset, parallel=2,
+                             parallel_threshold=1)
+    yield serial, parallel
+    parallel.close()
+    serial.close()
+
+
+class TestAggregateTies:
+    """MIN and MAX take the first of the values tied under
+    ``order_key`` on both paths, wherever morsel boundaries fall."""
+
+    @pytest.mark.parametrize("morsel_rows", [1, 3, MORSEL_ROWS])
+    def test_rows_identical_and_pushed_down(self, tie_endpoints,
+                                            morsel_rows):
+        serial, parallel = tie_endpoints
+        executor = parallel.parallel_executor
+        executor.morsel_rows = morsel_rows
+        for query in TIE_QUERIES:
+            before = executor.telemetry["agg_pushdown"]
+            assert parallel.select(query).rows == serial.select(query).rows
+            assert executor.telemetry["agg_pushdown"] == before + 1
+
+    def test_max_is_the_first_tied_value(self, tie_endpoints):
+        serial, _parallel = tie_endpoints
+        amounts = {}
+        for observation, group, value in serial.select(
+                f"SELECT ?o ?g ?v WHERE {{ ?o <{TIE.inGroup}> ?g . "
+                f"?o <{TIE.amount}> ?v }}").rows:
+            amounts.setdefault(group, []).append(value)
+        for group, high in serial.select(
+                f"SELECT ?g (MAX(?v) AS ?hi) WHERE {{ ?o <{TIE.inGroup}> ?g . "
+                f"?o <{TIE.amount}> ?v }} GROUP BY ?g").rows:
+            if group == TIE.group0:
+                continue  # its maximum is a word
+            fives = [value for value in amounts[group]
+                     if float(value.value) == 5.0]
+            assert len(set(fives)) > 1  # the group really has ties
+            assert high == fives[0]

@@ -32,9 +32,9 @@ Rule catalog (ids are the ``# repro: allow[...]`` suppression keys):
     narrowing excepted).
 ``parallel-safety``
     Worker-side parallel-executor code (``_worker*`` functions,
-    ``_Worker*`` classes, ``attach_*`` helpers) must stay
-    shared-nothing: no endpoint, live graph/dataset state, or parent
-    module caches.
+    ``_Worker*`` classes, ``attach_*`` helpers, and the aggregation
+    kernel functions workers call) must stay shared-nothing: no
+    endpoint, live graph/dataset state, or parent module caches.
 """
 
 from __future__ import annotations
@@ -677,7 +677,9 @@ class ParallelSafetyRule(Rule):
     dictionary and the pattern list.  This rule flags any reference to
     parent-process state inside the worker-side scopes — functions
     named ``_worker*`` or ``attach_*`` and methods of ``_Worker*``
-    classes — of the parallel executor and the SHM mapping module.
+    classes — of the parallel executors and the SHM mapping module,
+    and inside the aggregation kernel functions those workers call
+    (:attr:`KERNEL_SCOPES`).
     """
 
     id = "parallel-safety"
@@ -694,13 +696,29 @@ class ParallelSafetyRule(Rule):
                  "GOVERNOR", "CONCURRENCY", "SHM_SEGMENTS", "FAILPOINTS",
                  "get_plan"}
 
+    #: kernel modules that worker-side code calls into: path suffix →
+    #: the functions that run in workers (``None``: every function)
+    KERNEL_SCOPES: Dict[str, Optional[frozenset]] = {
+        "repro/olap/engine.py": frozenset(
+            {"partials", "_mask", "_group", "_fold"}),
+        "repro/sparql/aggregates.py": None,
+    }
+
     def applies_to(self, path: str) -> bool:
         return path.endswith(("repro/sparql/parallel.py",
                               "repro/olap/parallel.py",
-                              "repro/rdf/shm.py"))
+                              "repro/rdf/shm.py", *self.KERNEL_SCOPES))
 
-    @staticmethod
-    def _worker_scopes(tree: ast.AST) -> Iterator[ast.FunctionDef]:
+    def _worker_scopes(self, path: str,
+                       tree: ast.AST) -> Iterator[ast.FunctionDef]:
+        for suffix, names in self.KERNEL_SCOPES.items():
+            if path.endswith(suffix):
+                for node in ast.walk(tree):
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)) \
+                            and (names is None or node.name in names):
+                        yield node
+                return
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) \
                     and node.name.lstrip("_").startswith("Worker"):
@@ -717,7 +735,7 @@ class ParallelSafetyRule(Rule):
               lines: Sequence[str]) -> List[Finding]:
         findings: List[Finding] = []
         seen: Set[ast.AST] = set()
-        for scope in self._worker_scopes(tree):
+        for scope in self._worker_scopes(path, tree):
             if scope in seen:
                 continue
             seen.add(scope)
